@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
+.PHONY: all build vet test test-race safety-sweep soak recovery-soak telemetry-smoke trace-smoke bench bench-micro bench-json bench-wire bench-consensus bench-consensus-mc bench-durable tables
 
 all: vet test
 
@@ -21,6 +21,14 @@ test:
 # soaks' wall-clock GST.
 test-race:
 	$(GO) test -race -short ./...
+
+# Seeded churn safety sweep at full size (DESIGN.md §18): 20000 simulated
+# schedules per variant — n=5, reliable 1–50 ms links, 8 commands spread
+# over the replicas or interleaved from two of them, one crash — each
+# checked for consensus safety, log agreement, and every command of a
+# correct replica applied everywhere. go test runs 1000 per variant.
+safety-sweep:
+	$(GO) test -count=1 -run 'TestSafetyUnderChurnSweep' ./internal/consensus/rsm/ -args -rsm.churn-schedules=20000
 
 # Full chaos soak under the race detector: live UDP and TCP clusters
 # through leader crash, asymmetric partition + heal, and pre-GST link

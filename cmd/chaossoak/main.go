@@ -841,6 +841,10 @@ func (s *soak) runRecovery() error {
 		}
 	}
 
+	snap, err := snapIndex(s.walPath(leader))
+	if err != nil {
+		return err
+	}
 	if err := s.restart(leader); err != nil {
 		return err
 	}
@@ -850,7 +854,7 @@ func (s *soak) runRecovery() error {
 	}
 	if err := s.waitFor(func() bool {
 		_, ok := s.logs[leader].Recorder().Get(outageMax)
-		return ok
+		return ok || outageMax < snap
 	}, "restarted replica catch-up"); err != nil {
 		return err
 	}
@@ -1036,6 +1040,14 @@ func (s *soak) runGroupRecovery() error {
 		}
 	}
 
+	snaps := make([]int, s.groups)
+	for g := range snaps {
+		snap, err := snapIndex(s.groupWALPath(victim, g))
+		if err != nil {
+			return err
+		}
+		snaps[g] = snap
+	}
 	if err := s.restartGroup(victim); err != nil {
 		return err
 	}
@@ -1045,7 +1057,7 @@ func (s *soak) runGroupRecovery() error {
 	}
 	if err := s.waitFor(func() bool {
 		for g := 0; g < s.groups; g++ {
-			if _, ok := s.glogs[victim][g].Recorder().Get(outageMax[g]); !ok {
+			if _, ok := s.glogs[victim][g].Recorder().Get(outageMax[g]); !ok && outageMax[g] >= snaps[g] {
 				return false
 			}
 		}
@@ -1059,6 +1071,19 @@ func (s *soak) runGroupRecovery() error {
 // reopen loads one WAL directory offline and returns its recovered state.
 func (s *soak) reopen(id node.ID) (*durable.State, error) {
 	return reopenPath(s.walPath(id))
+}
+
+// snapIndex is the instance a WAL directory's last checkpoint absorbed
+// the applied prefix up to. A restarted replica recovers the instances
+// below it as application state without replaying them through its
+// recorder, so when the survivors decided nothing past it during the
+// outage, catch-up is complete at restart.
+func snapIndex(dir string) (int, error) {
+	st, err := reopenPath(dir)
+	if err != nil {
+		return 0, err
+	}
+	return int(st.SnapIndex), nil
 }
 
 // reopenPath loads a WAL directory offline and returns its recovered

@@ -107,6 +107,9 @@ func (r *Node) maybeSnapshot() {
 	if r.cfg.SnapshotEvery <= 0 || r.app.count-r.snapBase < r.cfg.SnapshotEvery {
 		return
 	}
+	if r.prop.prepared {
+		r.tellFollowers()
+	}
 	st := &durable.State{
 		Promised:  uint64(r.acc.promised),
 		Ballot:    uint64(r.prop.ballot),

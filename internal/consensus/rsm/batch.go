@@ -13,8 +13,9 @@ import (
 // This file is the batching layer: queued client commands and the
 // envelope codec that packs many commands into one proposable value. A
 // batch of k commands costs the same phase-2 traffic as a single command
-// — 3(n−1) messages (2(n−1) piggybacked) — so throughput scales with
-// Config.BatchMax while per-instance cost stays flat.
+// — 2(n−1) messages plus one DECIDE per forwarding replica — so
+// throughput scales with Config.BatchMax while per-instance cost stays
+// flat.
 
 // batchPrefix marks an encoded batch envelope. Client commands are
 // opaque; one that happens to start with the marker is wrapped in a
@@ -81,6 +82,10 @@ type pendingCmd struct {
 	// tctx is the command's trace context (zero when unsampled), carried
 	// from ingress through forwarding, batching and apply.
 	tctx tracing.Context
+	// origin is the replica the command came from: this one for a local
+	// Submit, the forwarder for a RequestMsg. The leader owes the
+	// forwarder the decision of the instance the command rides in.
+	origin node.ID
 }
 
 // batcher is the client-command queue. On a leader, commands wait here
@@ -88,18 +93,31 @@ type pendingCmd struct {
 // (and re-forwarded) to the believed leader until seen applied.
 type batcher struct {
 	pending []*pendingCmd
+	// origins is scratch space: the origins of the last batch take
+	// returned, reused between calls.
+	origins []node.ID
 }
 
-// add queues a command.
-func (b *batcher) add(v consensus.Value, now sim.Time, tctx tracing.Context) {
-	b.pending = append(b.pending, &pendingCmd{v: v, enq: now, lastSentTo: node.None, tctx: tctx})
+// add queues a command that came from origin.
+func (b *batcher) add(v consensus.Value, now sim.Time, tctx tracing.Context, origin node.ID) {
+	b.pending = append(b.pending, &pendingCmd{v: v, enq: now, lastSentTo: node.None, tctx: tctx, origin: origin})
+}
+
+// release makes every command assigned by leader me takeable again — the
+// instances carrying them were abandoned.
+func (b *batcher) release(me node.ID) {
+	for _, p := range b.pending {
+		if p.lastSentTo == me {
+			p.lastSentTo = node.None
+		}
+	}
 }
 
 // take collects up to max commands not yet assigned by leader me,
-// marking them assigned. A partial batch is only taken when allowPartial
-// — the caller allows it when the pipeline is empty (nothing to overlap
-// with, so waiting buys nothing) or on the drive tick (bounding queue
-// latency at one tick).
+// marking them assigned, and leaves their origins in b.origins. A partial
+// batch is only taken when allowPartial — the caller allows it when the
+// pipeline is empty (nothing to overlap with, so waiting buys nothing) or
+// on the drive tick (bounding queue latency at one tick).
 func (b *batcher) take(me node.ID, max int, allowPartial bool, now sim.Time) ([]consensus.Value, []sim.Time, []tracing.Context) {
 	var picked []*pendingCmd
 	for _, p := range b.pending {
@@ -117,9 +135,11 @@ func (b *batcher) take(me node.ID, max int, allowPartial bool, now sim.Time) ([]
 	cmds := make([]consensus.Value, len(picked))
 	enqs := make([]sim.Time, len(picked))
 	var tctxs []tracing.Context // allocated only when a picked command is traced
+	b.origins = b.origins[:0]
 	for i, p := range picked {
 		p.lastSentTo = me
 		p.lastSentAt = now
+		b.origins = append(b.origins, p.origin)
 		cmds[i] = p.v
 		enqs[i] = p.enq
 		if p.tctx.Valid() {
@@ -165,6 +185,11 @@ func (r *Node) pumpBatches(force bool) {
 			// enqueue to batch formation.
 			r.cfg.Tracer.Record(enqs[i], now, ctx, "queue", -1, "")
 		}
+		for _, f := range r.bat.origins {
+			if f != r.me {
+				r.pipe.noteForwarder(f, r.pipe.nextInst) // propose opens nextInst
+			}
+		}
 		r.propose(encodeBatch(cmds), enqs, tctxs)
 	}
 }
@@ -199,7 +224,7 @@ func BatchRequest(cmds []consensus.Value) RequestMsg {
 	return RequestMsg{V: encodeBatch(cmds)}
 }
 
-func (r *Node) onRequest(m RequestMsg) {
+func (r *Node) onRequest(from node.ID, m RequestMsg) {
 	if !r.prop.prepared || r.omega.Leader() != r.me {
 		return // the client will re-forward to the real leader
 	}
@@ -208,7 +233,7 @@ func (r *Node) onRequest(m RequestMsg) {
 	// hands its context to every command it carries; the sampling
 	// decision stays with the trace originator.
 	for _, v := range decodeBatch(m.V) {
-		r.bat.add(v, now, r.curCtx)
+		r.bat.add(v, now, r.curCtx, from)
 	}
 	r.pump()
 }

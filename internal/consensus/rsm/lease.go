@@ -185,11 +185,12 @@ func (r *Node) onLeaseAck(from node.ID, b consensus.Ballot, seq uint64) {
 }
 
 // holdsLease reports whether local reads are safe right now: prepared,
-// still nominated by Omega, a quorum of grants unexpired, and no
-// post-restart blind spot in effect.
+// still nominated by Omega, a quorum of grants unexpired, no post-restart
+// blind spot in effect, and no capped promise's range left to catch up
+// (the applied index would miss decisions made before this ballot).
 func (r *Node) holdsLease(now sim.Time) bool {
 	return r.cfg.Lease > 0 && r.prop.prepared && r.omega.Leader() == r.me &&
-		!r.lease.restartHold.After(now) &&
+		!r.lease.restartHold.After(now) && !r.holding() &&
 		sim.Time(r.lease.heldUntil.Load()).After(now)
 }
 
@@ -236,9 +237,10 @@ func (r *Node) leaseBlocks(b consensus.Ballot, now sim.Time) bool {
 }
 
 // abdicateLeader drops leader duties and every lease- and read-serving
-// right that came with them. Pending fallback reads are dropped (clients
-// retry against the new leader); the gauge clears before any competing
-// ballot gets our promise.
+// right that came with them. In-flight instances are abandoned and their
+// commands released (see dropInflights). Pending fallback reads are
+// dropped (clients retry against the new leader); the gauge clears before
+// any competing ballot gets our promise.
 func (r *Node) abdicateLeader() {
 	if r.prop.prepared || r.prop.preparing {
 		// Only an actual demotion is an election transition worth a span;
@@ -246,6 +248,7 @@ func (r *Node) abdicateLeader() {
 		r.cfg.Tracer.Mark(r.env.Now(), "abdicate", -1)
 	}
 	r.prop.abdicate()
+	r.dropInflights()
 	if r.lease.heldUntil.Load() != 0 {
 		r.lease.heldUntil.Store(0)
 	}

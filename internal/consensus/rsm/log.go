@@ -120,17 +120,37 @@ func (d *doneVector) min() int {
 }
 
 // learn installs a decision locally and lets the applier run the newly
-// contiguous prefix.
+// contiguous prefix. On the leader it also retires the instance from the
+// pipeline and passes the decision on to the forwarders waiting for it.
 func (r *Node) learn(inst int, v consensus.Value) {
 	if !r.log.insert(inst, v) {
 		return
 	}
 	r.cfg.Store.Decide(uint64(inst), string(v))
 	delete(r.acc.accepted, inst) // acceptor state for decided instances is dead weight
+	if fl, ok := r.pipe.inflights[inst]; ok {
+		// Decided without our quorum — say, an acceptor answered our
+		// ACCEPT with a DECIDE. Re-driving it would re-broadcast a value
+		// for a decided instance for ever.
+		delete(r.pipe.inflights, inst)
+		r.cfg.Tracer.End(r.env.Now(), fl.tctx)
+		if fl.v != v {
+			// Our ballot proposed another value here, so a higher ballot
+			// decided it. Abdicate before the next ACCEPT's CommitUpTo
+			// could tell an acceptor holding our value that it is decided.
+			r.abdicateLeader()
+		}
+	}
 	if r.pipe.nextInst <= inst {
 		r.pipe.nextInst = inst + 1
 	}
 	r.apply()
+	if r.prop.prepared {
+		r.tellForwarders()
+		if r.holding() && r.log.firstGap >= r.prop.holdAsk {
+			r.askLearn()
+		}
+	}
 }
 
 // onLearn serves a lagging follower's gap-fill request and folds its

@@ -41,20 +41,46 @@ type RequestMsg struct{ V consensus.Value }
 // Kind implements node.Message.
 func (RequestMsg) Kind() string { return KindRequest }
 
-// PrepareMsg opens a stable ballot covering all instances.
-type PrepareMsg struct{ B consensus.Ballot }
+// PrepareMsg opens a stable ballot covering all instances. FirstGap is
+// the preparer's first undecided instance: promisers report the
+// decisions they know at or above it, so phase 1 cannot miss a value
+// that every quorum member has already learned (see PromiseMsg).
+type PrepareMsg struct {
+	B        consensus.Ballot
+	FirstGap int
+}
 
 // Kind implements node.Message.
 func (PrepareMsg) Kind() string { return KindPrepare }
 
-// PromEntry reports one accepted-but-not-decided instance in a promise.
+// PromMark says what a promise entry reports about its instance.
+type PromMark uint8
+
+const (
+	// PromAccepted: the promiser accepted AccV at AccB and has not seen
+	// the instance decided.
+	PromAccepted PromMark = iota
+	// PromDecided: the instance is decided with value AccV (AccB is 0).
+	PromDecided
+	// PromCapped: the promise reached its size cap. Instances after the
+	// last PromDecided entry, up to and including Inst, may be decided
+	// at the promiser without being reported; AccB and AccV are empty.
+	PromCapped
+)
+
+// PromEntry reports one instance in a promise.
 type PromEntry struct {
 	Inst int
 	AccB consensus.Ballot
 	AccV consensus.Value
+	Mark PromMark
 }
 
-// PromiseMsg acknowledges a stable ballot and reports accepted entries.
+// PromiseMsg acknowledges a stable ballot. Entries lists the promiser's
+// accepted-but-undecided instances, then the instances it knows decided
+// at or above the preparer's FirstGap in increasing order — at most
+// promiseMaxDecided of them and promiseMaxBytes of values — closed by a
+// PromCapped entry when more decided instances were left out.
 type PromiseMsg struct {
 	B       consensus.Ballot
 	Entries []PromEntry
@@ -74,9 +100,10 @@ func (NackMsg) Kind() string { return KindNack }
 
 // AcceptMsg proposes value V for log instance Inst at ballot B.
 //
-// CommitUpTo piggybacks decision information (see
-// Config.PiggybackDecides): every instance below it that the receiver has
-// accepted at ballot B is decided with its accepted value.
+// CommitUpTo piggybacks the leader's first gap: every instance below it
+// that the receiver has accepted at ballot B is decided with its accepted
+// value. This is how followers that forwarded nothing into an instance
+// learn its decision (see pipeline.go).
 //
 // MinDone piggybacks the Done vector's cluster minimum (see
 // Config.Forget): every process has applied instances below it, so the
@@ -112,7 +139,10 @@ type AcceptedMsg struct {
 // Kind implements node.Message.
 func (AcceptedMsg) Kind() string { return KindAccepted }
 
-// DecideMsg announces instance Inst's decision.
+// DecideMsg announces instance Inst's decision. The leader sends it to
+// the replicas that forwarded a command into the instance, answers LEARN
+// gap-fill requests with it, and acceptors answer an ACCEPT for an
+// instance they already know decided with it.
 type DecideMsg struct {
 	Inst int
 	V    consensus.Value
@@ -179,3 +209,12 @@ func (ReadReplyMsg) Kind() string { return KindReadReply }
 
 // learnBatch bounds how many decisions a LearnMsg response carries.
 const learnBatch = 64
+
+// promiseMaxDecided and promiseMaxBytes cap the decided entries one
+// PromiseMsg carries — by count and by total value bytes — far below the
+// transports' 1 MiB frame and the decoder's 1<<20 element limits. A
+// preparer further behind catches up through LEARN (see proposer.go).
+const (
+	promiseMaxDecided = 1024
+	promiseMaxBytes   = 256 << 10
+)

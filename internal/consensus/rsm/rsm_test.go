@@ -175,9 +175,9 @@ func TestLeaderCrashMidStream(t *testing.T) {
 func TestSteadyStateCostIsLinearPerBatch(t *testing.T) {
 	// E7-style accounting with batching: a burst of commands coalesces
 	// into a handful of instances, and each instance — whatever its batch
-	// size — costs ≈ 3(n−1) consensus messages (ACCEPT + ACCEPTED +
-	// DECIDE) under a prepared ballot. The per-command cost therefore
-	// drops with the batch size.
+	// size — costs 2(n−1) consensus messages (ACCEPT + ACCEPTED) under a
+	// prepared ballot, plus the idle tail's gap-fill DECIDEs. The
+	// per-command cost therefore drops with the batch size.
 	const n = 5
 	// Leases on: the trailing read series below asserts the zero-message
 	// read path. A long lease keeps idle refresh traffic out of the

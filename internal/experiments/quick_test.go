@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -56,21 +57,28 @@ func TestE4RecoveryLatencyBounded(t *testing.T) {
 	}
 }
 
-func TestE12PiggybackWinsOnlyStreaming(t *testing.T) {
-	tab := E12PiggybackAblation(Opts{Quick: true, Seeds: 1})
-	cells := map[string]float64{}
+func TestE12CommitDisseminationCounts(t *testing.T) {
+	// Exact simulator counts, n=5, 30 commands (quick). While commands
+	// stream, an instance costs 2(n−1) = 8 messages from the leader and
+	// 2(n−1)+2 = 10 from followers, one or two of them alternating; the
+	// idle tail costs a LEARN and a DECIDE per replica that did not hear
+	// the last decision: all four followers after leader-origin load, the
+	// three non-forwarders after follower-origin load.
+	tab := E12CommitDissemination(Opts{Quick: true, Seeds: 1})
+	want := map[string][]string{ // instances, load msgs/instance, REQ, LEARN, tail msgs
+		"leader-origin streaming":   {"30", "8.00", "0", "4", "8"},
+		"follower-origin streaming": {"30", "10.00", "30", "3", "6"},
+		"two-origin streaming":      {"30", "10.00", "30", "3", "6"},
+		"burst-then-idle":           {"3", "8.00", "0", "4", "8"},
+	}
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(want))
+	}
 	for _, row := range tab.Rows {
-		v, err := strconv.ParseFloat(row[2], 64)
-		if err != nil {
-			t.Fatalf("parse %q: %v", row[2], err)
+		got := []string{row[1], row[2], row[3], row[7], row[8]}
+		if w := want[row[0]]; !reflect.DeepEqual(got, w) {
+			t.Errorf("%s: instances, load msgs/instance, REQ, LEARN, tail = %v, want %v", row[0], got, w)
 		}
-		cells[row[0]+"/"+row[1]] = v
-	}
-	if !(cells["streaming/piggyback"] < cells["streaming/plain"]) {
-		t.Fatalf("piggyback no cheaper under streaming: %v", cells)
-	}
-	if cells["streaming/piggyback"] > 10.5 {
-		t.Fatalf("streaming piggyback = %v msgs/cmd, want ≈ 8", cells["streaming/piggyback"])
 	}
 }
 

@@ -415,11 +415,21 @@ func registerRSM(c *Codec) {
 			return rsm.RequestMsg{V: consensus.Value(v)}, err
 		})
 
+	// PREPARE's FirstGap and the PROMISE entry's Mark are not negotiated
+	// either: like LeaseSeq below, they make older and newer phase-1
+	// frames mutually unreadable, so clusters upgrade atomically.
 	reg(c, codeRSMPrepare, rsm.KindPrepare,
-		func(e *Encoder, m rsm.PrepareMsg) error { e.U64(uint64(m.B)); return nil },
+		func(e *Encoder, m rsm.PrepareMsg) error {
+			e.U64(uint64(m.B))
+			return e.Int(m.FirstGap)
+		},
 		func(d *Decoder) (rsm.PrepareMsg, error) {
 			b, err := d.U64()
-			return rsm.PrepareMsg{B: consensus.Ballot(b)}, err
+			if err != nil {
+				return rsm.PrepareMsg{}, err
+			}
+			gap, err := d.Int()
+			return rsm.PrepareMsg{B: consensus.Ballot(b), FirstGap: gap}, err
 		})
 
 	reg(c, codeRSMPromise, rsm.KindPromise,
@@ -432,6 +442,10 @@ func registerRSM(c *Codec) {
 				}
 				e.U64(uint64(ent.AccB))
 				e.Str(string(ent.AccV))
+				if ent.Mark > rsm.PromCapped {
+					return fmt.Errorf("wire: promise entry mark %d out of range", ent.Mark)
+				}
+				e.U32(uint32(ent.Mark))
 			}
 			return nil
 		},
@@ -461,7 +475,14 @@ func registerRSM(c *Codec) {
 				if err != nil {
 					return rsm.PromiseMsg{}, err
 				}
-				entries[i] = rsm.PromEntry{Inst: inst, AccB: consensus.Ballot(accB), AccV: consensus.Value(accV)}
+				mark, err := d.U32()
+				if err != nil {
+					return rsm.PromiseMsg{}, err
+				}
+				if mark > uint32(rsm.PromCapped) {
+					return rsm.PromiseMsg{}, fmt.Errorf("wire: promise entry mark %d out of range", mark)
+				}
+				entries[i] = rsm.PromEntry{Inst: inst, AccB: consensus.Ballot(accB), AccV: consensus.Value(accV), Mark: rsm.PromMark(mark)}
 			}
 			if len(entries) == 0 {
 				entries = nil

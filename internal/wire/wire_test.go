@@ -54,7 +54,9 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		ct.DecideMsg{V: "d"},
 		rsm.RequestMsg{V: "cmd"},
 		rsm.PrepareMsg{B: 9},
+		rsm.PrepareMsg{B: 9, FirstGap: 4096},
 		rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 1, AccB: 2, AccV: "a"}, {Inst: 5, AccB: 9, AccV: "b"}}},
+		rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 1, AccB: 2, AccV: "a"}, {Inst: 4, AccV: "d", Mark: rsm.PromDecided}, {Inst: 70, Mark: rsm.PromCapped}}},
 		rsm.PromiseMsg{B: 9},
 		rsm.NackMsg{B: 9, Promised: 12},
 		rsm.AcceptMsg{B: 9, Inst: 4, V: "x", CommitUpTo: 3, MinDone: 2, LeaseSeq: 6},
@@ -72,6 +74,26 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("round trip changed %T: %+v → %+v", m, m, got)
 		}
+	}
+}
+
+func TestPromiseMarkOutOfRangeRejected(t *testing.T) {
+	c := NewCodec()
+	m := rsm.PromiseMsg{B: 9, Entries: []rsm.PromEntry{{Inst: 70, Mark: rsm.PromCapped}}}
+	b, err := c.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b[len(b)-1] != byte(rsm.PromCapped) {
+		t.Fatalf("frame %x does not end in the mark", b)
+	}
+	b[len(b)-1]++ // one past the last defined mark
+	if got, err := c.Unmarshal(b); err == nil {
+		t.Fatalf("out-of-range mark decoded as %+v", got)
+	}
+	m.Entries[0].Mark++
+	if _, err := c.Marshal(m); err == nil {
+		t.Fatal("out-of-range mark encoded")
 	}
 }
 
